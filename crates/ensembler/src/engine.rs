@@ -16,7 +16,10 @@
 //!   partitioned by kind;
 //! * each batch runs one [`Defense::predict`] (or one
 //!   [`Defense::server_outputs`]), inside which the `N` server bodies fan out
-//!   over the machine's cores ([`ensembler_tensor::par_map`]).
+//!   over the machine's cores ([`ensembler_tensor::par_map`], one persistent
+//!   pool shared by every engine worker). The GEMMs and `im2col` lowerings
+//!   inside a body run inline on that body's thread, so concurrent batches
+//!   share the cores without spawning threads.
 //!
 //! # Examples
 //!

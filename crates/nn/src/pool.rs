@@ -42,9 +42,10 @@ impl MaxPool2d {
         self.window
     }
 
-    /// Shared forward computation: returns the output and the argmax map
-    /// (which the cached path stores for backward).
-    fn run(&self, input: &Tensor) -> (Tensor, Vec<usize>) {
+    /// Shared forward computation. When `argmax` is given, it receives the
+    /// input index each output was taken from (the cached path stores it
+    /// for backward); the eval forward passes `None` and builds no map.
+    fn run(&self, input: &Tensor, mut argmax: Option<&mut Vec<usize>>) -> Tensor {
         assert_eq!(input.rank(), 4, "MaxPool2d expects NCHW input");
         let [b, c, h, w] = [
             input.shape()[0],
@@ -59,7 +60,10 @@ impl MaxPool2d {
         );
         let (oh, ow) = (h / k, w / k);
         let mut out = Tensor::zeros(&[b, c, oh, ow]);
-        let mut argmax = vec![0usize; b * c * oh * ow];
+        if let Some(map) = argmax.as_deref_mut() {
+            map.clear();
+            map.resize(b * c * oh * ow, 0);
+        }
         let plane = h * w;
         for n in 0..b {
             for ch in 0..c {
@@ -81,22 +85,25 @@ impl MaxPool2d {
                         }
                         let out_idx = ((n * c + ch) * oh + oy) * ow + ox;
                         out.data_mut()[out_idx] = best;
-                        argmax[out_idx] = best_idx;
+                        if let Some(map) = argmax.as_deref_mut() {
+                            map[out_idx] = best_idx;
+                        }
                     }
                 }
             }
         }
-        (out, argmax)
+        out
     }
 }
 
 impl Layer for MaxPool2d {
     fn forward(&self, input: &Tensor, _mode: Mode) -> Tensor {
-        self.run(input).0
+        self.run(input, None)
     }
 
     fn forward_cached(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        let (out, argmax) = self.run(input);
+        let mut argmax = Vec::new();
+        let out = self.run(input, Some(&mut argmax));
         self.cached_argmax = Some(argmax);
         self.cached_input_shape = Some(input.shape().to_vec());
         out
@@ -250,6 +257,32 @@ mod tests {
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[4.0, 8.0, -1.0, 0.75]);
         assert_eq!(pool.window(), 2);
+    }
+
+    #[test]
+    fn eval_forward_keeps_output_bits_for_infinite_and_nan_windows() {
+        let (inf, nan) = (f32::NEG_INFINITY, f32::NAN);
+        let x = Tensor::from_vec(
+            vec![
+                inf, inf, nan, 1.0, //
+                inf, inf, 2.0, nan, //
+                nan, nan, -0.0, inf, //
+                nan, nan, inf, inf,
+            ],
+            &[1, 1, 4, 4],
+        )
+        .unwrap();
+        // `v > best` never holds for NaN, so an all-NaN or all -inf window
+        // keeps the -inf start value, and NaN taps are skipped.
+        let want = [inf, 2.0, inf, -0.0];
+        let eval = MaxPool2d::new(2).forward(&x, Mode::Eval);
+        let cached = MaxPool2d::new(2).forward_cached(&x, Mode::Train);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&eval),
+            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        assert_eq!(bits(&eval), bits(&cached));
     }
 
     #[test]

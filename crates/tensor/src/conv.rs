@@ -2,15 +2,17 @@
 //!
 //! Both transforms touch every batch item independently — item `n` only
 //! reads/writes rows `n*out_h*out_w..` of the column matrix and plane
-//! `n*C*H*W..` of the image — so large lowerings fan the batch out across
-//! cores with [`crate::parallel::par_map`], mirroring the row-band split of
-//! the GEMM kernel that consumes their output.
+//! `n*C*H*W..` of the image — so large lowerings fan the batch out on the
+//! persistent `par_map` pool, each item
+//! writing its own block of the output in place. Inside an ensemble body
+//! (itself a `par_map` item) the fan-out runs inline on the body's thread.
 
-use crate::parallel::par_map;
+use crate::parallel::for_each_chunk_mut;
 use crate::Tensor;
+use std::borrow::Cow;
 
-/// Below this many f32 elements per transform the batch loop stays serial:
-/// thread spawn costs more than the copy for the trainer's tiny lowerings.
+/// Below this many elements per transform the batch loop stays serial: waking
+/// a pool helper costs more than the copy for the trainer's tiny lowerings.
 const PAR_ELEMENT_THRESHOLD: usize = 1 << 15;
 
 /// Geometry of a 2-D convolution: kernel size, stride and zero padding.
@@ -82,7 +84,8 @@ impl Conv2dGeometry {
 /// convolution.
 ///
 /// The result has shape `[batch * out_h * out_w, channels * kernel * kernel]`:
-/// each row is the flattened receptive field of one output position.
+/// each row is the flattened receptive field of one output position, with
+/// column `c·k² + ky·k + kx` holding tap `(ky, kx)` of channel `c`.
 ///
 /// # Panics
 ///
@@ -95,55 +98,10 @@ pub fn im2col(input: &Tensor, geom: Conv2dGeometry) -> Tensor {
         input.shape()[2],
         input.shape()[3],
     ];
-    let out_h = geom.output_extent(h);
-    let out_w = geom.output_extent(w);
-    let k = geom.kernel;
-    let cols = c * k * k;
-    let rows = b * out_h * out_w;
-    let item_rows = out_h * out_w;
-    let plane = h * w;
-
-    // One batch item -> its `item_rows x cols` block of the column matrix.
-    let lower_item = |n: usize, block: &mut [f32]| {
-        for oy in 0..out_h {
-            for ox in 0..out_w {
-                let row_idx = oy * out_w + ox;
-                let row = &mut block[row_idx * cols..(row_idx + 1) * cols];
-                for ch in 0..c {
-                    for ky in 0..k {
-                        let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
-                        for kx in 0..k {
-                            let ix = (ox * geom.stride + kx) as isize - geom.padding as isize;
-                            let col_idx = (ch * k + ky) * k + kx;
-                            if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
-                                row[col_idx] = input.data()
-                                    [n * c * plane + ch * plane + iy as usize * w + ix as usize];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    };
-
-    let mut out = vec![0.0f32; rows * cols];
-    if b > 1 && rows * cols >= PAR_ELEMENT_THRESHOLD {
-        let indices: Vec<usize> = (0..b).collect();
-        let blocks = par_map(&indices, |&n| {
-            let mut block = vec![0.0f32; item_rows * cols];
-            lower_item(n, &mut block);
-            block
-        });
-        for (chunk, block) in out.chunks_mut(item_rows * cols).zip(blocks) {
-            chunk.copy_from_slice(&block);
-        }
-    } else {
-        // Serial: each item writes its disjoint block of `out` in place.
-        for (n, chunk) in out.chunks_mut(item_rows * cols).enumerate() {
-            lower_item(n, chunk);
-        }
-    }
-    Tensor::from_vec(out, &[rows, cols]).expect("im2col buffer sized to rows*cols")
+    let rows = b * geom.output_extent(h) * geom.output_extent(w);
+    let out = lower(input.data(), [b, c, h, w], geom);
+    Tensor::from_vec(out, &[rows, c * geom.kernel * geom.kernel])
+        .expect("im2col buffer sized to rows*cols")
 }
 
 /// [`im2col`] over raw quantized `i8` data: unfolds an NCHW `i8` buffer into
@@ -169,65 +127,90 @@ pub fn im2col_i8(
     geom: Conv2dGeometry,
 ) -> Vec<i8> {
     assert_eq!(data.len(), b * c * h * w, "im2col_i8 buffer/shape mismatch");
+    lower(data, [b, c, h, w], geom)
+}
+
+/// The lowering behind [`im2col`] and [`im2col_i8`].
+///
+/// The input is first copied once into a zero-bordered buffer, so that
+/// every tap of every receptive field is in bounds: each output row is then
+/// `c·k` straight copies of `k` contiguous pixels, with no per-tap bounds
+/// test. For 3×3 kernels the run length is a compile-time constant, so each
+/// run is a fixed-width copy. Batch items own disjoint row blocks, so large
+/// lowerings fill their blocks in place on the `par_map` pool.
+fn lower<T: Copy + Default + Send + Sync>(
+    data: &[T],
+    shape: [usize; 4],
+    geom: Conv2dGeometry,
+) -> Vec<T> {
+    match geom.kernel {
+        3 => lower_runs::<T, 3>(data, shape, geom),
+        _ => lower_runs::<T, 0>(data, shape, geom),
+    }
+}
+
+/// [`lower`] with the kernel extent fixed at compile time as `K`, or read
+/// from `geom` when `K` is zero.
+fn lower_runs<T: Copy + Default + Send + Sync, const K: usize>(
+    data: &[T],
+    [b, c, h, w]: [usize; 4],
+    geom: Conv2dGeometry,
+) -> Vec<T> {
+    let k = if K == 0 { geom.kernel } else { K };
+    let (stride, pad) = (geom.stride, geom.padding);
     let out_h = geom.output_extent(h);
     let out_w = geom.output_extent(w);
-    let k = geom.kernel;
     let cols = c * k * k;
-    let rows = b * out_h * out_w;
-    let item_rows = out_h * out_w;
-    let plane = h * w;
+    let block_len = out_h * out_w * cols;
+    let mut out = vec![T::default(); b * block_len];
+    if block_len == 0 {
+        return out;
+    }
 
-    // Unlike the f32 lowering, the inner loop copies whole in-bounds `kx`
-    // runs as slices instead of testing every kernel tap: the valid `kx`
-    // window depends only on `ox`, and within it the source pixels are
-    // contiguous. On the 3×3 stride-1 lowerings of the quantized serving
-    // path this is most of the int8 convolution's speedup over f32.
-    let lower_item = |n: usize, block: &mut [i8]| {
-        for oy in 0..out_h {
-            for ox in 0..out_w {
-                let row_idx = oy * out_w + ox;
-                let row = &mut block[row_idx * cols..(row_idx + 1) * cols];
-                // kx is valid iff 0 <= ox*stride + kx - padding < w.
-                let x0 = ox * geom.stride;
-                let kx_lo = geom.padding.saturating_sub(x0).min(k);
-                let kx_hi = (w + geom.padding - x0.min(w + geom.padding)).min(k);
-                if kx_lo >= kx_hi {
-                    continue;
-                }
-                let ix0 = x0 + kx_lo - geom.padding;
-                let run = kx_hi - kx_lo;
+    let (ph, pw) = (h + 2 * pad, w + 2 * pad);
+    let padded: Cow<[T]> = if pad == 0 {
+        Cow::Borrowed(data)
+    } else {
+        let mut padded = vec![T::default(); b * c * ph * pw];
+        for (dst, src) in padded
+            .chunks_exact_mut(ph * pw)
+            .zip(data.chunks_exact(h * w))
+        {
+            for (dst_row, src_row) in dst[pad * pw..]
+                .chunks_exact_mut(pw)
+                .zip(src.chunks_exact(w))
+            {
+                dst_row[pad..pad + w].copy_from_slice(src_row);
+            }
+        }
+        Cow::Owned(padded)
+    };
+
+    // One batch item -> its `out_h*out_w x cols` block of the column matrix.
+    // Row `(oy, ox)` holds tap `(ky, kx)` of channel `ch` at column
+    // `ch·k² + ky·k + kx`; for each `(oy, ch, ky)` one padded source row
+    // feeds that run of every `ox`.
+    let lower_item = |n: usize, block: &mut [T]| {
+        // Re-derived here so the run length stays a constant inside the
+        // closure rather than a captured value.
+        let k = if K == 0 { geom.kernel } else { K };
+        let image = &padded[n * c * ph * pw..(n + 1) * c * ph * pw];
+        for (oy, rows) in block.chunks_exact_mut(out_w * cols).enumerate() {
+            for ch in 0..c {
                 for ky in 0..k {
-                    let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
-                    if iy < 0 || iy as usize >= h {
-                        continue;
-                    }
-                    let src_base = n * c * plane + iy as usize * w + ix0;
-                    for ch in 0..c {
-                        let col_idx = (ch * k + ky) * k + kx_lo;
-                        let src = &data[src_base + ch * plane..src_base + ch * plane + run];
-                        row[col_idx..col_idx + run].copy_from_slice(src);
+                    let src = &image[(ch * ph + oy * stride + ky) * pw..][..pw];
+                    let col = (ch * k + ky) * k;
+                    for (ox, row) in rows.chunks_exact_mut(cols).enumerate() {
+                        let x = ox * stride;
+                        row[col..col + k].copy_from_slice(&src[x..x + k]);
                     }
                 }
             }
         }
     };
 
-    let mut out = vec![0i8; rows * cols];
-    if b > 1 && rows * cols >= PAR_ELEMENT_THRESHOLD {
-        let indices: Vec<usize> = (0..b).collect();
-        let blocks = par_map(&indices, |&n| {
-            let mut block = vec![0i8; item_rows * cols];
-            lower_item(n, &mut block);
-            block
-        });
-        for (chunk, block) in out.chunks_mut(item_rows * cols).zip(blocks) {
-            chunk.copy_from_slice(&block);
-        }
-    } else {
-        for (n, chunk) in out.chunks_mut(item_rows * cols).enumerate() {
-            lower_item(n, chunk);
-        }
-    }
+    let parallel = b > 1 && out.len() >= PAR_ELEMENT_THRESHOLD;
+    for_each_chunk_mut(&mut out, block_len, parallel, lower_item);
     out
 }
 
@@ -288,22 +271,9 @@ pub fn col2im(
     };
 
     let mut data = vec![0.0f32; batch * item_elems];
-    if batch > 1 && batch * item_elems >= PAR_ELEMENT_THRESHOLD {
-        let indices: Vec<usize> = (0..batch).collect();
-        let images = par_map(&indices, |&n| {
-            let mut image = vec![0.0f32; item_elems];
-            fold_item(n, &mut image);
-            image
-        });
-        for (chunk, image) in data.chunks_mut(item_elems).zip(images) {
-            chunk.copy_from_slice(&image);
-        }
-    } else {
-        // Serial: each item accumulates into its disjoint plane in place.
-        for (n, chunk) in data.chunks_mut(item_elems).enumerate() {
-            fold_item(n, chunk);
-        }
-    }
+    // Each item accumulates into its own plane in place.
+    let parallel = batch > 1 && batch * item_elems >= PAR_ELEMENT_THRESHOLD;
+    for_each_chunk_mut(&mut data, item_elems, parallel, fold_item);
     Tensor::from_vec(data, &[batch, channels, height, width])
         .expect("col2im buffer sized to batch*C*H*W")
 }
@@ -355,6 +325,73 @@ mod tests {
         // Centre output position sees the whole image.
         let centre = &cols.data()[4 * 9..5 * 9];
         assert_eq!(centre, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]);
+    }
+
+    /// Per-tap reference lowering: every column of every row computed
+    /// independently from its `(ch, ky, kx)` tap, zero outside the image.
+    fn im2col_reference<T: Copy + Default>(
+        data: &[T],
+        [b, c, h, w]: [usize; 4],
+        geom: Conv2dGeometry,
+    ) -> Vec<T> {
+        let (k, s, p) = (geom.kernel, geom.stride, geom.padding);
+        let (oh, ow) = (geom.output_extent(h), geom.output_extent(w));
+        let mut out = Vec::with_capacity(b * oh * ow * c * k * k);
+        for n in 0..b {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    for ch in 0..c {
+                        for ky in 0..k {
+                            for kx in 0..k {
+                                let (iy, ix) = (oy * s + ky, ox * s + kx);
+                                let inside = iy >= p && iy - p < h && ix >= p && ix - p < w;
+                                out.push(if inside {
+                                    data[((n * c + ch) * h + iy - p) * w + ix - p]
+                                } else {
+                                    T::default()
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn lowering_matches_the_per_tap_reference_bit_for_bit() {
+        // Odd extents, batch 1 and 3, and one lowering large enough for the
+        // parallel in-place fill; values include NaN, ±∞ and −0.0.
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+        let shapes = [[1, 2, 5, 7], [3, 3, 7, 5], [3, 8, 17, 15]];
+        for kernel in 1..=3 {
+            for stride in 1..=2 {
+                for padding in 0..=2 {
+                    let geom = Conv2dGeometry::new(kernel, stride, padding);
+                    for shape in shapes {
+                        let len: usize = shape.iter().product();
+                        let data: Vec<f32> = (0..len)
+                            .map(|i| match i % 23 {
+                                5 | 11 | 17 | 22 => specials[(i / 23) % 4],
+                                _ => (i * 37 % 101) as f32 - 50.5,
+                            })
+                            .collect();
+                        let what = format!("k{kernel} s{stride} p{padding} {shape:?}");
+                        let input = Tensor::from_vec(data.clone(), &shape).unwrap();
+                        let got = im2col(&input, geom);
+                        let want = im2col_reference(&data, shape, geom);
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(got.data()), bits(&want), "f32 {what}");
+
+                        let q: Vec<i8> = (0..len).map(|i| (i * 53 % 255) as u8 as i8).collect();
+                        let [b, c, h, w] = shape;
+                        let got = im2col_i8(&q, b, c, h, w, geom);
+                        assert_eq!(got, im2col_reference(&q, shape, geom), "i8 {what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //!
 //! * **Packing.** The right-hand operand is repacked once into column panels
 //!   of [`NR`] contiguous columns; the left-hand operand is repacked per row
-//!   band into row panels of [`MR`] contiguous rows. Packing makes the inner
-//!   loop read both operands sequentially regardless of the original layout
-//!   (including the transposed variants) and pads ragged edges with zeros so
-//!   the micro-kernel never branches.
+//!   band into row panels of [`MR`] contiguous rows, copying each source
+//!   row's `KC` slice (or, for `Aᵀ·B`, each shared index's row run) in one
+//!   pass. Packing makes the inner loop read both operands sequentially
+//!   regardless of the original layout (including the transposed variants)
+//!   and pads ragged edges with zeros so the micro-kernel never branches.
 //! * **Register tiling.** The micro-kernel accumulates a small output tile
 //!   in registers across a [`KC`]-deep slice of the shared dimension,
 //!   amortising every load of `A` over the tile width and every load of `B`
@@ -19,10 +20,16 @@
 //!   blocks so the active `A` and `B` panels stay resident in L1/L2 while an
 //!   output tile is produced.
 //! * **Row-band parallelism.** Bands of [`MC`] output rows are independent,
-//!   so large products fan the bands out across cores with
-//!   [`crate::parallel::par_map`]. Products below [`PAR_THRESHOLD`]
-//!   multiply-accumulates stay on the calling thread: the trainer's many tiny
-//!   multiplies must not pay thread-spawn overhead.
+//!   so large products fan the bands out on the persistent pool of
+//!   [`crate::parallel`], each band written in place into the output.
+//!   Products below [`PAR_THRESHOLD`] multiply-accumulates stay on the
+//!   calling thread, where a pool wake-up would cost more than the work. A
+//!   product issued from inside a running `par_map` (an ensemble body, say)
+//!   runs its bands inline on that thread.
+//! * **Small products.** When `k·n` is below [`SMALL_THRESHOLD`], B is
+//!   packed into 16-column panels and each output row accumulates one panel
+//!   at a time in a register-resident array, in the same `p` order and with
+//!   the same multiply-then-add as a plain triple loop.
 //!
 //! Unlike the scalar loops this kernel replaced, no term is ever skipped:
 //! `0 × NaN` and `0 × ∞` contributions propagate into the output as IEEE 754
@@ -38,7 +45,8 @@
 //! assert_eq!(c, vec![19.0, 22.0, 43.0, 50.0]);
 //! ```
 
-use crate::parallel::par_map;
+use crate::parallel::{for_each_chunk_mut, workers};
+use std::borrow::Cow;
 
 /// Rows of the register tile held by the portable micro-kernel. On x86-64
 /// hosts with AVX2+FMA a wider 6×16 tile is selected at runtime instead (see
@@ -48,7 +56,7 @@ pub const MR: usize = 4;
 pub const NR: usize = 8;
 /// Depth of the shared-dimension cache block.
 pub const KC: usize = 256;
-/// Output rows per parallel band (one unit of work for a worker thread).
+/// Output rows per parallel band (one unit of work for a pool worker).
 pub const MC: usize = 128;
 
 /// One register-tile update: accumulate `tile_rows x cols` over `kc` packed
@@ -93,8 +101,9 @@ fn kernel_config() -> KernelConfig {
     }
 }
 
-/// Below this many right-operand elements (`k·n`) the kernel skips packing
-/// entirely and runs a plain register-friendly triple loop.
+/// Below this many right-operand elements (`k·n`) the kernel skips the
+/// blocked micro-kernel and runs the small-product path: one output row at a
+/// time, accumulated in registers in plain `p` order.
 ///
 /// Deliberately independent of `m`: row `i` of a product must be bit-exact
 /// whether it is computed alone or inside a larger batch, because the
@@ -115,12 +124,15 @@ pub const PAR_THRESHOLD: usize = 1 << 20;
 pub enum Parallelism {
     /// Choose serial or parallel from the problem size (the default):
     /// products with at least [`PAR_THRESHOLD`] multiply-accumulates use all
-    /// cores, smaller ones stay on the calling thread.
+    /// cores (inline inside a running parallel region, like
+    /// [`Parallelism::Parallel`]), smaller ones stay on the calling thread.
     #[default]
     Auto,
     /// Always run on the calling thread.
     Serial,
-    /// Always split row bands across worker threads, regardless of size.
+    /// Always split row bands across the pool, regardless of size. Like
+    /// every `par_map`, this runs inline when issued from inside a running
+    /// parallel region, since the outer fan-out already owns the cores.
     Parallel,
 }
 
@@ -200,9 +212,10 @@ enum Op {
     Nt,
 }
 
+#[cfg(test)]
 impl Op {
-    /// Element `(i, p)` of the logical `[m,k]` left operand.
-    #[inline(always)]
+    /// Element `(i, p)` of the logical `[m,k]` left operand (reference
+    /// implementation only; the kernel reads A through row slices).
     fn a_at(self, a: &[f32], i: usize, p: usize, m: usize, k: usize) -> f32 {
         match self {
             Op::Nn | Op::Nt => a[i * k + p],
@@ -212,7 +225,6 @@ impl Op {
 
     /// Element `(p, j)` of the logical `[k,n]` right operand (reference
     /// implementation only; the kernel reads B through its packed panels).
-    #[cfg(test)]
     fn b_at(self, b: &[f32], p: usize, j: usize, k: usize, n: usize) -> f32 {
         match self {
             Op::Nn | Op::Tn => b[p * n + j],
@@ -409,99 +421,113 @@ fn gemm_impl(
         apply_epilogue(&mut out, n, &ep);
         return out;
     }
-    if k * n < SMALL_THRESHOLD {
-        gemm_small(a, b, m, k, n, op, &mut out);
-        apply_epilogue(&mut out, n, &ep);
-        return out;
-    }
+    let small = k * n < SMALL_THRESHOLD;
     let cfg = kernel_config();
 
     // Pack the whole of B once: ceil(n/nr) panels, each k rows of nr
     // contiguous column values (zero-padded on the ragged edge). Every row
-    // band reads the same packed copy, so the pack cost is paid once.
-    let bp = pack_b(b, k, n, op, cfg.nr);
+    // band reads the same packed copy, so the pack cost is paid once. The
+    // small path packs to its own fixed row-accumulator width.
+    let bp = pack_b(b, k, n, op, if small { SMALL_NR } else { cfg.nr });
 
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let want_parallel = match par {
-        Parallelism::Serial => false,
-        Parallelism::Parallel => true,
-        Parallelism::Auto => workers > 1 && m > cfg.mr && m * k * n >= PAR_THRESHOLD,
-    };
+    let (band_rows, parallel) = row_bands(par, m, m * k * n, cfg.mr, MC, PAR_THRESHOLD);
 
-    // Band sizing: MC rows normally, but a big product with few rows (the
-    // engine's coalesced mini-batches rarely exceed MC) still deserves all
-    // cores, so shrink bands to spread m across the workers. Bands stay
-    // mr-aligned so every band but the last packs only full row panels, and
-    // the split never changes results: each row's arithmetic is independent
-    // of which band computes it.
-    let band_rows = if want_parallel && m <= MC {
-        let per_worker = m.div_ceil(workers.max(2));
-        per_worker.div_ceil(cfg.mr) * cfg.mr
-    } else {
-        MC
-    };
-    let bands: Vec<(usize, usize)> = (0..m)
-        .step_by(band_rows)
-        .map(|row0| (row0, band_rows.min(m - row0)))
-        .collect();
-
-    if want_parallel && bands.len() > 1 {
-        // Each band materialises its rows separately, then they are stitched.
-        // The epilogue runs on the band temporary while it is cache-hot; the
-        // result is identical to one pass over the stitched output because
-        // the epilogue is element-wise.
-        let compute = |&(row0, rows): &(usize, usize)| -> Vec<f32> {
-            let mut band = vec![0.0f32; rows * n];
-            gemm_band(a, &bp, row0, rows, m, k, n, op, cfg, &mut band);
-            apply_epilogue(&mut band, n, &ep);
-            band
-        };
-        for ((row0, rows), band) in bands.iter().zip(par_map(&bands, compute)) {
-            out[row0 * n..(row0 + rows) * n].copy_from_slice(&band);
-        }
-    } else {
-        // Serial: compute straight into the output, no temporaries. The
-        // epilogue follows each band immediately, so its rows are still
-        // resident in cache.
-        for &(row0, rows) in &bands {
-            let band = &mut out[row0 * n..(row0 + rows) * n];
+    // Each band is computed straight into its rows of the output, then the
+    // epilogue runs on it while it is still cache-hot (element-wise, so per
+    // band equals one pass over the whole output).
+    let compute = |band_index: usize, band: &mut [f32]| {
+        let row0 = band_index * band_rows;
+        let rows = band.len() / n;
+        if small {
+            gemm_small(a, &bp, row0, m, k, n, op, band);
+        } else {
             gemm_band(a, &bp, row0, rows, m, k, n, op, cfg, band);
-            apply_epilogue(band, n, &ep);
         }
-    }
+        apply_epilogue(band, n, &ep);
+    };
+    for_each_chunk_mut(&mut out, band_rows * n, parallel, compute);
     out
 }
 
-/// Plain triple loop for products too small to amortise packing. Never skips
-/// a term, so non-finite values propagate exactly like the blocked path.
-fn gemm_small(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, op: Op, out: &mut [f32]) {
-    for i in 0..m {
-        let out_row = &mut out[i * n..(i + 1) * n];
-        match op {
-            // Contiguous rhs rows: iterate (p, j) so the inner loop streams.
-            Op::Nn | Op::Tn => {
-                for p in 0..k {
-                    let a_ip = op.a_at(a, i, p, m, k);
-                    let b_row = &b[p * n..(p + 1) * n];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += a_ip * bv;
-                    }
+/// Splits a product of `m` rows and `macs` multiply-accumulates into row
+/// bands: returns the band height and whether the bands go to the pool.
+///
+/// Bands are `mc` rows normally, but a big product with few rows (the
+/// engine's coalesced mini-batches rarely exceed `mc`) still deserves all
+/// cores, so bands shrink to spread `m` across the workers. Bands stay
+/// `mr`-aligned so every band but the last packs only full row panels, and
+/// the split never changes results: each row's arithmetic is independent of
+/// which band computes it. Shared with the int8 kernels.
+pub(crate) fn row_bands(
+    par: Parallelism,
+    m: usize,
+    macs: usize,
+    mr: usize,
+    mc: usize,
+    threshold: usize,
+) -> (usize, bool) {
+    let workers = workers();
+    let parallel = match par {
+        Parallelism::Serial => false,
+        Parallelism::Parallel => true,
+        Parallelism::Auto => workers > 1 && m > mr && macs >= threshold,
+    };
+    let band_rows = if parallel && m <= mc {
+        m.div_ceil(workers.max(2)).div_ceil(mr) * mr
+    } else {
+        mc
+    };
+    (band_rows, parallel && m > band_rows)
+}
+
+/// Row-accumulator width of the small-product path: B is packed into
+/// panels of this many columns, and each output row accumulates one panel
+/// at a time in a fixed-size array the compiler keeps in registers.
+const SMALL_NR: usize = 16;
+
+/// Small-product path: output rows `row0..` of `band`, each computed one
+/// [`SMALL_NR`]-column panel at a time in a register-resident accumulator.
+///
+/// Every element is `((0 + a₀b₀) + a₁b₁) + …` in `p` order, a multiply then
+/// an add, exactly the plain triple loop this replaces. No term is skipped,
+/// so non-finite values propagate like the blocked path.
+#[allow(clippy::too_many_arguments)]
+fn gemm_small(
+    a: &[f32],
+    bp: &[f32],
+    row0: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    op: Op,
+    band: &mut [f32],
+) {
+    let rows = band.len() / n;
+    // This band's rows of the logical `[m,k]` left operand, contiguous.
+    let a_band: Cow<[f32]> = match op {
+        Op::Nn | Op::Nt => Cow::Borrowed(&a[row0 * k..(row0 + rows) * k]),
+        Op::Tn => {
+            let mut gathered = vec![0.0f32; rows * k];
+            for (p, src) in a.chunks_exact(m).enumerate() {
+                for (r, &v) in src[row0..row0 + rows].iter().enumerate() {
+                    gathered[r * k + p] = v;
                 }
             }
-            // Contiguous rhs columns: each output element is a dot product.
-            Op::Nt => {
-                let a_row = &a[i * k..(i + 1) * k];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b_row = &b[j * k..(j + 1) * k];
-                    let mut acc = 0.0f32;
-                    for (&av, &bv) in a_row.iter().zip(b_row) {
-                        acc += av * bv;
-                    }
-                    *o = acc;
+            Cow::Owned(gathered)
+        }
+    };
+    for (a_row, out_row) in a_band.chunks_exact(k).zip(band.chunks_exact_mut(n)) {
+        for (panel, out_cols) in bp
+            .chunks_exact(k * SMALL_NR)
+            .zip(out_row.chunks_mut(SMALL_NR))
+        {
+            let mut acc = [0.0f32; SMALL_NR];
+            for (&av, bv) in a_row.iter().zip(panel.chunks_exact(SMALL_NR)) {
+                for (slot, &bval) in acc.iter_mut().zip(bv) {
+                    *slot += av * bval;
                 }
             }
+            out_cols.copy_from_slice(&acc[..out_cols.len()]);
         }
     }
 }
@@ -564,17 +590,35 @@ fn gemm_band(
         let kc = KC.min(k - pc);
         // Pack this band's A block: row panel `ir` holds rows
         // row0+ir*mr..+mr for shared indices pc..pc+kc, zero-padded past the
-        // band edge.
-        for ir in 0..row_panels {
-            let panel = &mut apack[ir * kc * mr..(ir + 1) * kc * mr];
-            for p in 0..kc {
-                for r in 0..mr {
-                    let i = row0 + ir * mr + r;
-                    panel[p * mr + r] = if i < row0 + rows {
-                        op.a_at(a, i, pc + p, m, k)
-                    } else {
-                        0.0
-                    };
+        // band edge. Each source row's `kc` slice (or, transposed, each
+        // shared index's `mr` slice) is copied as one run.
+        for (ir, panel) in apack[..row_panels * kc * mr]
+            .chunks_exact_mut(kc * mr)
+            .enumerate()
+        {
+            let r0 = row0 + ir * mr;
+            let valid = mr.min(row0 + rows - r0);
+            match op {
+                Op::Nn | Op::Nt => {
+                    for r in 0..mr {
+                        if r < valid {
+                            let src = &a[(r0 + r) * k + pc..][..kc];
+                            for (p, &v) in src.iter().enumerate() {
+                                panel[p * mr + r] = v;
+                            }
+                        } else {
+                            for p in 0..kc {
+                                panel[p * mr + r] = 0.0;
+                            }
+                        }
+                    }
+                }
+                Op::Tn => {
+                    for (p, sliver) in panel.chunks_exact_mut(mr).enumerate() {
+                        let src = &a[(pc + p) * m + r0..][..valid];
+                        sliver[..valid].copy_from_slice(src);
+                        sliver[valid..].fill(0.0);
+                    }
                 }
             }
         }
@@ -798,6 +842,91 @@ mod tests {
         let bt = pseudo(n * k, 10);
         let got = gemm_nt_with(&a, &bt, m, k, n, Parallelism::Parallel);
         assert_close(&got, &reference(&a, &bt, m, k, n, Op::Nt), 1e-4);
+    }
+
+    /// Bit-for-bit equality, except that any NaN matches any NaN: Rust
+    /// leaves the sign and payload of a NaN result unspecified, so only
+    /// NaN-ness is a stable property to pin.
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}: element {i} is {g:?} ({:#010x}), want {w:?} ({:#010x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    /// [`pseudo`] values with NaN, ±∞ and −0.0 sprinkled in, plus runs of
+    /// exact zeros so some outputs sum only zero and signed-zero terms.
+    fn special(len: usize, seed: u64) -> Vec<f32> {
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+        pseudo(len, seed)
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| match i % 41 {
+                7 | 19 | 30 => specials[(i / 41 + i) % specials.len()],
+                36..=40 => 0.0,
+                _ => v,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn small_path_is_bit_exact_against_the_sequential_sum_in_every_layout() {
+        // Stem (27x16), 1x1 shortcut (16x32) and a classifier-like shape,
+        // all below SMALL_THRESHOLD; m odd so the last band is ragged.
+        for &(m, k, n) in &[(37usize, 27usize, 16usize), (37, 16, 32), (5, 64, 10)] {
+            assert!(k * n < SMALL_THRESHOLD);
+            for (seed, zeros) in [(21u64, false), (22, true)] {
+                let mut a = special(m * k, seed);
+                let mut b = special(k * n, seed + 100);
+                if zeros {
+                    // A −0.0 row against a positive B sums only −0.0 terms,
+                    // so it pins the start of the sum: `0 + a₀b₀ + …` gives
+                    // +0.0, a sum seeded with a₀b₀ would give −0.0.
+                    a[..k].iter_mut().for_each(|v| *v = -0.0);
+                    b = pseudo(k * n, seed + 100)
+                        .iter()
+                        .map(|v| v.abs() + 0.5)
+                        .collect();
+                }
+                let a_t: Vec<f32> = (0..k * m).map(|i| a[(i % m) * k + i / m]).collect();
+                let b_t: Vec<f32> = (0..n * k).map(|i| b[(i % k) * n + i / k]).collect();
+                let want = reference(&a, &b, m, k, n, Op::Nn);
+                for par in [Parallelism::Serial, Parallelism::Parallel] {
+                    let what = format!("{m}x{k}x{n} {par:?}");
+                    let nn = gemm_nn_with(&a, &b, m, k, n, par);
+                    assert_same_bits(&nn, &want, &format!("nn {what}"));
+                    let tn = gemm_tn_with(&a_t, &b, k, m, n, par);
+                    assert_same_bits(&tn, &want, &format!("tn {what}"));
+                    let nt = gemm_nt_with(&a, &b_t, m, k, n, par);
+                    assert_same_bits(&nt, &want, &format!("nt {what}"));
+                }
+                if zeros {
+                    assert!(want[..n].iter().all(|v| v.to_bits() == 0));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_layouts_agree_bit_for_bit() {
+        // k > KC (two shared-dimension blocks), ragged row and column panels,
+        // and above SMALL_THRESHOLD: the packed A panels of A·Bᵀ and Aᵀ·B
+        // must hold exactly what A·B packs.
+        let (m, k, n) = (70, KC + 45, 40);
+        let a = pseudo(m * k, 31);
+        let b = pseudo(k * n, 32);
+        let a_t: Vec<f32> = (0..k * m).map(|i| a[(i % m) * k + i / m]).collect();
+        let b_t: Vec<f32> = (0..n * k).map(|i| b[(i % k) * n + i / k]).collect();
+        for par in [Parallelism::Serial, Parallelism::Parallel] {
+            let nn = gemm_nn_with(&a, &b, m, k, n, par);
+            assert_same_bits(&gemm_nt_with(&a, &b_t, m, k, n, par), &nn, "nt vs nn");
+            assert_same_bits(&gemm_tn_with(&a_t, &b, k, m, n, par), &nn, "tn vs nn");
+        }
     }
 
     #[test]
