@@ -203,8 +203,8 @@ impl Defense for EnsemblerPipeline {
     /// Computes the features the client transmits for a batch of images:
     /// `M_c,h(x) + N(0, σ)` (plus dropout if the DR-N defence is enabled).
     fn client_features(&self, images: &Tensor) -> Result<Tensor, EnsemblerError> {
-        let features = self.head_plan.run(images)?;
-        let noisy = self.noise.forward(&features, Mode::Eval);
+        let mut noisy = self.head_plan.run(images)?;
+        self.noise.add_to(&mut noisy);
         Ok(match &self.dropout {
             Some(dropout) => dropout.forward(&noisy, Mode::Eval),
             None => noisy,

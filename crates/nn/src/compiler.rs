@@ -10,17 +10,21 @@
 //!    removing a full pass over the feature map. Folding reassociates float
 //!    arithmetic, so outputs match the eager pipeline to a small tolerance
 //!    rather than bit-exactly.
-//! 2. **Epilogue fusion** ([`FusionConfig::fuse_epilogue`]): the bias add
-//!    and a directly following ReLU are applied inside the GEMM epilogue
-//!    while the output band is cache-hot
-//!    ([`ensembler_tensor::gemm::gemm_nt_fused`]), an eval-mode batch norm
-//!    (and the ReLU after it) directly following a conv is merged into the
-//!    conv's single output pass, and the int8 conv stages dequantize their
-//!    `i32` accumulators, apply bias, the merged batch norm and ReLU, and
-//!    transpose into NCHW in one pass (the int8 linear stages keep the
-//!    dequantize in the qgemm epilogue,
+//! 2. **Epilogue fusion** ([`FusionConfig::fuse_epilogue`]): convolutions
+//!    run on the direct NCHW kernel ([`ensembler_tensor::conv2d_nchw`],
+//!    [`ensembler_tensor::qconv2d_nchw`]) on weights packed once at compile
+//!    time, and apply the bias, an eval-mode batch norm directly following
+//!    the conv and the ReLU after it per output channel plane; the int8
+//!    convs dequantize their `i32` sums in the same pass. The linear stages
+//!    apply bias and ReLU in the GEMM epilogue
+//!    ([`ensembler_tensor::gemm::gemm_nt_fused`],
 //!    [`ensembler_tensor::qgemm_nn_dequant`]). Epilogue fusion performs
 //!    exactly the eager per-element expressions, so it is bit-exact.
+//!
+//! A plan run keeps its intermediate activations on per-thread spare
+//! buffers (and the conv kernel its padded images and packed panels on
+//! per-thread scratch), so steady-state runs on same-shaped batches
+//! allocate no activation memory.
 //!
 //! Every typed stage validates its input shape first and returns a
 //! [`ShapeError`] instead of panicking, so a hostile or corrupt request
@@ -47,15 +51,16 @@
 //! assert!(plan.run(&Tensor::ones(&[2, 5, 8, 8])).is_err());
 //! ```
 
-use crate::conv::rows_to_nchw;
 use crate::graph::{lower_sequential, GraphOp};
 use crate::quant::{QConv2d, QLinear};
 use crate::{BatchNorm2d, Conv2d, Layer, Linear, MaxPool2d, Mode, Sequential};
 use ensembler_tensor::gemm::{gemm_nt_fused, GemmEpilogue, Parallelism};
 use ensembler_tensor::{
-    im2col, im2col_i8, qgemm_nn, qgemm_nn_dequant, Conv2dGeometry, QGemmEpilogue, QTensorBatch,
-    ShapeError, Tensor,
+    conv2d_nchw, qconv2d_nchw, qgemm_nn_dequant, Conv2dGeometry, ConvWeights, QConvWeights,
+    QGemmEpilogue, QTensor, QTensorBatch, ShapeError, Tensor,
 };
+use std::borrow::Cow;
+use std::cell::RefCell;
 
 /// Which fusion passes a compiled plan applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,63 +236,205 @@ fn check_linear_input(
     }
 }
 
-fn relu_mask(x: &Tensor) -> Tensor {
-    let mask = x.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-    x.mul(&mask)
+thread_local! {
+    /// Stage activations that earlier plan runs on this thread have
+    /// finished with, kept for the next run (at most [`MAX_SPARE`]): a
+    /// steady stream of same-shaped requests then allocates no activation
+    /// memory beyond each plan's final output.
+    static SPARE: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Turns `[b*oh*ow, c]` GEMM rows into an NCHW tensor while applying a merged
-/// eval-mode batch norm (and optionally the mask-multiply ReLU) in the same
-/// pass. Every per-element expression matches the standalone
-/// [`BatchNorm2d`]/ReLU forwards exactly, so the merge is bit-exact; the win
-/// is running one pass over the feature map instead of three.
-fn bn_relu_rows_to_nchw(
-    rows: &[f32],
-    b: usize,
-    c: usize,
-    oh: usize,
-    ow: usize,
-    bn: &BatchNorm2d,
-    relu: bool,
-) -> Tensor {
-    let plane = oh * ow;
-    debug_assert_eq!(rows.len(), b * plane * c);
-    let mean = bn.running_mean().data();
-    let var = bn.running_var().data();
-    let gamma = bn.gamma().value.data();
-    let beta = bn.beta().value.data();
-    let inv_std: Vec<f32> = var.iter().map(|v| 1.0 / (v + bn.eps()).sqrt()).collect();
-    let mut out = vec![0.0f32; b * c * plane];
-    for n in 0..b {
-        for p in 0..plane {
-            let row = &rows[(n * plane + p) * c..(n * plane + p + 1) * c];
-            for (ch, &v) in row.iter().enumerate() {
-                let mut t = gamma[ch] * ((v - mean[ch]) * inv_std[ch]) + beta[ch];
-                if relu {
-                    t *= if t > 0.0 { 1.0 } else { 0.0 };
+/// Spare activation buffers kept per thread; beyond this the smallest is
+/// dropped.
+const MAX_SPARE: usize = 8;
+
+/// A `len`-element buffer for a stage output: the thread's smallest spare
+/// buffer that fits without being more than twice the size, else a new one.
+/// The size bound keeps a small final output, which leaves the plan, from
+/// taking a large spare with it. Contents are unspecified; every caller
+/// overwrites all of them.
+fn take_buffer(len: usize) -> Vec<f32> {
+    let spare = SPARE.with(|spare| {
+        let mut spare = spare.borrow_mut();
+        let best = (0..spare.len())
+            .filter(|&i| (len..=2 * len.max(1)).contains(&spare[i].capacity()))
+            .min_by_key(|&i| spare[i].capacity());
+        best.map(|i| spare.swap_remove(i))
+    });
+    let mut buf = spare.unwrap_or_default();
+    buf.resize(len, 0.0);
+    buf
+}
+
+/// Hands an intermediate activation back to this thread's spares.
+fn recycle(t: Tensor) {
+    let buf = t.into_vec();
+    SPARE.with(|spare| {
+        let mut spare = spare.borrow_mut();
+        spare.push(buf);
+        if spare.len() > MAX_SPARE {
+            let smallest = (0..spare.len())
+                .min_by_key(|&i| spare[i].capacity())
+                .expect("spares are not empty");
+            spare.swap_remove(smallest);
+        }
+    });
+}
+
+/// A tensor of `shape` on a spare buffer, filled by `fill`.
+fn pooled(shape: &[usize], fill: impl FnOnce(&mut [f32])) -> Tensor {
+    let mut buf = take_buffer(shape.iter().product());
+    fill(&mut buf);
+    Tensor::from_vec(buf, shape).expect("buffer sized to the shape")
+}
+
+/// The ReLU formulation a stage applies, matching the eager layer it
+/// replaces: the `Relu` layer's mask multiply `v · (v > 0 ? 1 : 0)`, or
+/// `max(0, ·)`. The eager quantized pipeline runs standalone ReLUs as the
+/// mask multiply but residual-internal ones as `max(0, ·)`; the int8 plan
+/// replicates whichever applies so it stays bit-exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Relu {
+    None,
+    Mask,
+    Max,
+}
+
+impl Relu {
+    fn apply(self, v: f32) -> f32 {
+        match self {
+            Relu::None => v,
+            Relu::Mask => v * if v > 0.0 { 1.0 } else { 0.0 },
+            Relu::Max => v.max(0.0),
+        }
+    }
+}
+
+/// An eval-mode batch norm merged into a conv's output pass, with
+/// `1 / sqrt(var + eps)` computed once.
+#[derive(Debug, Clone)]
+struct MergedBn {
+    mean: Vec<f32>,
+    inv_std: Vec<f32>,
+    gamma: Vec<f32>,
+    beta: Vec<f32>,
+}
+
+impl MergedBn {
+    fn new(bn: &BatchNorm2d) -> Self {
+        Self {
+            mean: bn.running_mean().data().to_vec(),
+            inv_std: bn
+                .running_var()
+                .data()
+                .iter()
+                .map(|v| 1.0 / (v + bn.eps()).sqrt())
+                .collect(),
+            gamma: bn.gamma().value.data().to_vec(),
+            beta: bn.beta().value.data().to_vec(),
+        }
+    }
+}
+
+/// What a fused conv stage applies to each output channel plane: the bias,
+/// a merged batch norm and a ReLU. Each is the eager layer's per-element
+/// expression (`v + b`, `gamma·((v − mean)·inv_std) + beta`, the ReLU), so
+/// the merge is bit-exact; the win is one pass over the feature map
+/// instead of up to three.
+#[derive(Debug, Clone)]
+struct ConvEpilogue {
+    bias: Vec<f32>,
+    bn: Option<MergedBn>,
+    relu: Relu,
+}
+
+impl ConvEpilogue {
+    fn apply(&self, co: usize, plane: &mut [f32]) {
+        let (bias, relu) = (self.bias[co], self.relu);
+        match &self.bn {
+            None => plane.iter_mut().for_each(|v| *v = relu.apply(*v + bias)),
+            Some(bn) => {
+                let (gamma, mean) = (bn.gamma[co], bn.mean[co]);
+                let (inv_std, beta) = (bn.inv_std[co], bn.beta[co]);
+                for v in plane {
+                    let t = *v + bias;
+                    *v = relu.apply(gamma * ((t - mean) * inv_std) + beta);
                 }
-                out[n * c * plane + ch * plane + p] = t;
             }
         }
     }
-    Tensor::from_vec(out, &[b, c, oh, ow]).expect("output sized to NCHW shape")
+}
+
+/// The residual join: `relu(main + skip)` in one pass, written over the
+/// main branch's output (or a spare copy of it when the main branch is
+/// empty and still borrows the block input).
+fn residual_join(
+    main: Cow<'_, Tensor>,
+    skip: Cow<'_, Tensor>,
+    relu: Relu,
+) -> Result<Tensor, ShapeError> {
+    if main.shape() != skip.shape() {
+        return Err(ShapeError::new(format!(
+            "residual branches disagree: main {:?} vs shortcut {:?}",
+            main.shape(),
+            skip.shape()
+        )));
+    }
+    let mut out = match main {
+        Cow::Owned(t) => t,
+        Cow::Borrowed(t) => pooled(t.shape(), |buf| buf.copy_from_slice(t.data())),
+    };
+    for (o, &s) in out.data_mut().iter_mut().zip(skip.data()) {
+        *o = relu.apply(*o + s);
+    }
+    if let Cow::Owned(t) = skip {
+        recycle(t);
+    }
+    Ok(out)
+}
+
+/// A standalone ReLU stage onto a spare buffer.
+fn relu_stage(input: &Tensor, relu: Relu) -> Tensor {
+    pooled(input.shape(), |buf| {
+        for (o, &v) in buf.iter_mut().zip(input.data()) {
+            *o = relu.apply(v);
+        }
+    })
 }
 
 // ---------------------------------------------------------------------------
 // f32 plan
 // ---------------------------------------------------------------------------
 
+/// Runs `stages` in order from a borrowed input. Each intermediate
+/// activation goes back to the thread's spares once the next stage has
+/// consumed it; the result is still borrowed when there are no stages.
+fn run_stages<'a, S>(
+    stages: &[S],
+    input: &'a Tensor,
+    run: impl Fn(&S, &Tensor) -> Result<Tensor, ShapeError>,
+) -> Result<Cow<'a, Tensor>, ShapeError> {
+    let mut x = Cow::Borrowed(input);
+    for stage in stages {
+        let y = run(stage, &x)?;
+        if let Cow::Owned(t) = x {
+            recycle(t);
+        }
+        x = Cow::Owned(y);
+    }
+    Ok(x)
+}
+
 #[derive(Debug, Clone)]
 enum Stage {
-    /// Convolution; `bn` records a directly following eval-mode batch norm
-    /// and `relu` a ReLU after it, both fused into the conv's output pass.
-    /// The batch norm applies the eager per-element expression
-    /// `gamma*((x-mean)*inv_std)+beta` and the ReLU the eager mask multiply,
-    /// so the merge is bit-exact with the standalone layers.
+    /// Convolution with the following eval-mode batch norm and ReLU merged
+    /// into its output pass (under epilogue fusion), computed by the direct
+    /// NCHW kernel on weights packed at compile time. Without epilogue
+    /// fusion it runs the eager layer.
     Conv {
         conv: Conv2d,
-        bn: Option<Box<BatchNorm2d>>,
-        relu: bool,
+        packed: ConvWeights,
+        epilogue: ConvEpilogue,
     },
     BatchNorm(BatchNorm2d),
     Relu,
@@ -308,71 +455,34 @@ enum Stage {
 impl Stage {
     fn run(&self, input: &Tensor, config: FusionConfig) -> Result<Tensor, ShapeError> {
         match self {
-            Stage::Conv { conv, bn, relu } => {
+            Stage::Conv {
+                conv,
+                packed,
+                epilogue,
+            } => {
                 let (b, oh, ow) =
                     check_conv_input(input.shape(), conv.in_channels(), conv.geometry(), "conv")?;
                 if !config.fuse_epilogue {
                     return Ok(conv.forward(input, Mode::Eval));
                 }
-                let g = conv.geometry();
-                let cols = im2col(input, g);
-                let m = b * oh * ow;
-                let k = conv.in_channels() * g.kernel * g.kernel;
-                let n = conv.out_channels();
-                let rows = gemm_nt_fused(
-                    cols.data(),
-                    conv.weight().value.data(),
-                    m,
-                    k,
-                    n,
-                    Parallelism::Auto,
-                    GemmEpilogue {
-                        bias: Some(conv.bias().value.data()),
-                        // With a merged batch norm the ReLU comes after it,
-                        // so it moves out of the GEMM epilogue into the
-                        // combined output pass below.
-                        relu: *relu && bn.is_none(),
-                    },
-                );
-                match bn {
-                    None => {
-                        let rows = Tensor::from_vec(rows, &[m, n]).expect("fused rows sized m*n");
-                        Ok(rows_to_nchw(&rows, b, n, oh, ow))
-                    }
-                    Some(bn) => Ok(bn_relu_rows_to_nchw(&rows, b, n, oh, ow, bn, *relu)),
-                }
+                Ok(pooled(&[b, conv.out_channels(), oh, ow], |out| {
+                    conv2d_nchw(input, packed, out, |co, plane| epilogue.apply(co, plane));
+                }))
             }
             Stage::BatchNorm(bn) => {
-                let (_, c, _, _) = expect_rank4(input.shape(), "batch_norm")?;
-                if c != bn.channels() {
-                    return Err(ShapeError::new(format!(
-                        "batch_norm expected {} channels, got {c}",
-                        bn.channels()
-                    )));
-                }
+                check_batch_norm_input(input.shape(), bn)?;
                 Ok(bn.forward(input, Mode::Eval))
             }
-            Stage::Relu => Ok(relu_mask(input)),
+            Stage::Relu => Ok(relu_stage(input, Relu::Mask)),
             Stage::MaxPool(pool) => {
-                let (_, _, h, w) = expect_rank4(input.shape(), "max_pool")?;
-                let k = pool.window();
-                if h % k != 0 || w % k != 0 {
-                    return Err(ShapeError::new(format!(
-                        "max_pool window {k} must divide spatial dims ({h}x{w})"
-                    )));
-                }
+                check_pool_input(input.shape(), pool)?;
                 Ok(pool.forward(input, Mode::Eval))
             }
             Stage::GlobalAvgPool => {
                 expect_rank4(input.shape(), "global_avg_pool")?;
                 Ok(crate::GlobalAvgPool::new().forward(input, Mode::Eval))
             }
-            Stage::Flatten => {
-                if input.rank() < 1 {
-                    return Err(ShapeError::new("flatten expects at least rank-1 input"));
-                }
-                Ok(input.flatten_batch())
-            }
+            Stage::Flatten => flatten(input),
             Stage::Linear { linear, relu } => {
                 let m = check_linear_input(input.shape(), linear.in_features(), "linear")?;
                 if !config.fuse_epilogue {
@@ -394,31 +504,63 @@ impl Stage {
                 Ok(Tensor::from_vec(out, &[m, n]).expect("fused output sized m*n"))
             }
             Stage::Residual { main, shortcut } => {
-                let mut x = input.clone();
-                for stage in main {
-                    x = stage.run(&x, config)?;
-                }
+                let run = |stage: &Stage, x: &Tensor| stage.run(x, config);
+                let x = run_stages(main, input, run)?;
                 let skip = match shortcut {
-                    Some(stages) => {
-                        let mut s = input.clone();
-                        for stage in stages {
-                            s = stage.run(&s, config)?;
-                        }
-                        s
-                    }
-                    None => input.clone(),
+                    Some(stages) => run_stages(stages, input, run)?,
+                    None => Cow::Borrowed(input),
                 };
-                if x.shape() != skip.shape() {
-                    return Err(ShapeError::new(format!(
-                        "residual branches disagree: main {:?} vs shortcut {:?}",
-                        x.shape(),
-                        skip.shape()
-                    )));
-                }
-                Ok(relu_mask(&x.add(&skip)))
+                residual_join(x, skip, Relu::Mask)
             }
             Stage::Opaque(layer) => Ok(layer.forward(input, Mode::Eval)),
         }
+    }
+}
+
+fn check_batch_norm_input(shape: &[usize], bn: &BatchNorm2d) -> Result<(), ShapeError> {
+    let (_, c, _, _) = expect_rank4(shape, "batch_norm")?;
+    if c != bn.channels() {
+        return Err(ShapeError::new(format!(
+            "batch_norm expected {} channels, got {c}",
+            bn.channels()
+        )));
+    }
+    Ok(())
+}
+
+fn check_pool_input(shape: &[usize], pool: &MaxPool2d) -> Result<(), ShapeError> {
+    let (_, _, h, w) = expect_rank4(shape, "max_pool")?;
+    let k = pool.window();
+    if h % k != 0 || w % k != 0 {
+        return Err(ShapeError::new(format!(
+            "max_pool window {k} must divide spatial dims ({h}x{w})"
+        )));
+    }
+    Ok(())
+}
+
+fn flatten(input: &Tensor) -> Result<Tensor, ShapeError> {
+    if input.rank() < 1 {
+        return Err(ShapeError::new("flatten expects at least rank-1 input"));
+    }
+    Ok(input.flatten_batch())
+}
+
+/// The eval-mode batch norm directly after the conv at `ops[i]`, if epilogue
+/// fusion merges it (its channel count must match the conv's output).
+fn merged_bn(
+    ops: &[GraphOp],
+    i: usize,
+    conv: &Conv2d,
+    config: FusionConfig,
+) -> Option<BatchNorm2d> {
+    match ops.get(i + 1) {
+        Some(GraphOp::BatchNorm(bn))
+            if config.fuse_epilogue && bn.channels() == conv.out_channels() =>
+        {
+            Some(bn.clone())
+        }
+        _ => None,
     }
 }
 
@@ -431,25 +573,24 @@ fn build_stages(ops: &[GraphOp], config: FusionConfig) -> Vec<Stage> {
             GraphOp::Conv(conv) => {
                 // Merge a following batch norm (channel counts permitting)
                 // and then a following ReLU into the conv's output pass.
-                let fused_bn = if config.fuse_epilogue {
-                    match ops.get(i + 1) {
-                        Some(GraphOp::BatchNorm(bn)) if bn.channels() == conv.out_channels() => {
-                            Some(Box::new(bn.clone()))
-                        }
-                        _ => None,
-                    }
-                } else {
-                    None
-                };
-                let after_bn = i + 1 + usize::from(fused_bn.is_some());
-                let fused_relu =
-                    config.fuse_epilogue && matches!(ops.get(after_bn), Some(GraphOp::Relu));
+                let bn = merged_bn(ops, i, conv, config);
+                let after_bn = i + 1 + usize::from(bn.is_some());
+                let relu = config.fuse_epilogue && matches!(ops.get(after_bn), Some(GraphOp::Relu));
                 stages.push(Stage::Conv {
+                    packed: ConvWeights::pack(
+                        conv.weight().value.data(),
+                        conv.out_channels(),
+                        conv.in_channels(),
+                        conv.geometry(),
+                    ),
+                    epilogue: ConvEpilogue {
+                        bias: conv.bias().value.data().to_vec(),
+                        bn: bn.as_ref().map(MergedBn::new),
+                        relu: if relu { Relu::Mask } else { Relu::None },
+                    },
                     conv: conv.clone(),
-                    bn: fused_bn,
-                    relu: fused_relu,
                 });
-                i = after_bn + usize::from(fused_relu);
+                i = after_bn + usize::from(relu);
                 continue;
             }
             GraphOp::Linear(linear) => {
@@ -504,11 +645,8 @@ impl CompiledPlan {
     /// Returns a [`ShapeError`] — never panics — when the input shape does
     /// not fit the pipeline's typed stages.
     pub fn run(&self, input: &Tensor) -> Result<Tensor, ShapeError> {
-        let mut x = input.clone();
-        for stage in &self.stages {
-            x = stage.run(&x, self.config)?;
-        }
-        Ok(x)
+        let out = run_stages(&self.stages, input, |stage, x| stage.run(x, self.config))?;
+        Ok(out.into_owned())
     }
 
     /// The fusion configuration the plan was compiled with.
@@ -527,38 +665,27 @@ impl CompiledPlan {
 // int8 plan
 // ---------------------------------------------------------------------------
 
-/// Which ReLU formulation (if any) is merged into a fused int8 conv's
-/// output pass. The eager quantized pipeline runs standalone ReLUs as the
-/// `f32` mask multiply but residual-internal ones as `max(0,·)`; the merged
-/// pass replicates whichever applies so the plan stays bit-exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QRelu {
-    None,
-    Mask,
-    Max,
-}
-
 #[derive(Debug, Clone)]
 enum QStage {
-    /// Int8 convolution with the dequantize, bias, a merged eval-mode batch
-    /// norm and the following ReLU all applied in one pass over the `i32`
-    /// accumulators while transposing into NCHW — the eager pipeline's
-    /// per-element expressions, one feature-map pass instead of up to four.
+    /// Int8 convolution on the direct NCHW kernel: each image quantized
+    /// with its own scale, exact `i32` sums dequantized, then the bias, a
+    /// merged eval-mode batch norm and the following ReLU applied per
+    /// channel plane — the eager pipeline's per-element expressions, one
+    /// feature-map pass instead of up to four. Without epilogue fusion it
+    /// runs the eager layer.
     Conv {
         conv: QConv2d,
-        bn: Option<BatchNorm2d>,
-        relu: QRelu,
+        packed: QConvWeights,
+        epilogue: ConvEpilogue,
     },
     Linear {
         linear: QLinear,
         relu: bool,
     },
     BatchNorm(BatchNorm2d),
-    /// Standalone ReLU in the mask-multiply formulation, matching the
-    /// `f32` fallback layer the eager quantized pipeline runs.
-    ReluMask,
-    /// ReLU as `max(0, ·)`, matching the eager quantized residual block.
-    ReluMax,
+    /// A standalone ReLU: the `f32` fallback layer's mask multiply outside
+    /// residual blocks, `max(0, ·)` inside them.
+    Relu(Relu),
     MaxPool(MaxPool2d),
     GlobalAvgPool,
     Flatten,
@@ -572,59 +699,19 @@ enum QStage {
 impl QStage {
     fn run(&self, input: &Tensor, config: FusionConfig) -> Result<Tensor, ShapeError> {
         match self {
-            QStage::Conv { conv, bn, relu } => {
+            QStage::Conv {
+                conv,
+                packed,
+                epilogue,
+            } => {
                 let (b, oh, ow) =
                     check_conv_input(input.shape(), conv.in_channels(), conv.geometry(), "q_conv")?;
                 if !config.fuse_epilogue {
                     return Ok(conv.forward(input));
                 }
-                let g = conv.geometry();
-                let (c, h, w) = (input.shape()[1], input.shape()[2], input.shape()[3]);
-                let plane = oh * ow;
-                let fan_in = c * g.kernel * g.kernel;
-                let out_c = conv.out_channels();
-                let q = QTensorBatch::quantize_batch(input);
-                let cols = im2col_i8(q.data(), b, c, h, w, g);
-                let acc = qgemm_nn(&cols, conv.weight_t(), b * plane, fan_in, out_c);
-
-                // One pass over the i32 accumulators: dequantize, bias, the
-                // merged batch norm and ReLU, transposed straight into NCHW.
-                // Each expression matches the eager stage it replaces.
-                let bias = conv.bias().data();
-                let bn_params = bn.as_ref().map(|bn| {
-                    let inv_std: Vec<f32> = bn
-                        .running_var()
-                        .data()
-                        .iter()
-                        .map(|v| 1.0 / (v + bn.eps()).sqrt())
-                        .collect();
-                    (
-                        bn.running_mean().data(),
-                        inv_std,
-                        bn.gamma().value.data(),
-                        bn.beta().value.data(),
-                    )
-                });
-                let mut out = vec![0.0f32; b * out_c * plane];
-                for n in 0..b {
-                    let rescale = q.scales()[n] * conv.weight_scale();
-                    for p in 0..plane {
-                        let row = &acc[(n * plane + p) * out_c..(n * plane + p + 1) * out_c];
-                        for (co, &a) in row.iter().enumerate() {
-                            let mut t = a as f32 * rescale + bias[co];
-                            if let Some((mean, inv_std, gamma, beta)) = &bn_params {
-                                t = gamma[co] * ((t - mean[co]) * inv_std[co]) + beta[co];
-                            }
-                            t = match relu {
-                                QRelu::None => t,
-                                QRelu::Mask => t * if t > 0.0 { 1.0 } else { 0.0 },
-                                QRelu::Max => t.max(0.0),
-                            };
-                            out[n * out_c * plane + co * plane + p] = t;
-                        }
-                    }
-                }
-                Ok(Tensor::from_vec(out, &[b, out_c, oh, ow]).expect("output sized to NCHW shape"))
+                Ok(pooled(&[b, conv.out_channels(), oh, ow], |out| {
+                    qconv2d_nchw(input, packed, out, |co, plane| epilogue.apply(co, plane));
+                }))
             }
             QStage::Linear { linear, relu } => {
                 let batch = check_linear_input(input.shape(), linear.in_features(), "q_linear")?;
@@ -654,60 +741,27 @@ impl QStage {
                     .expect("fused output sized batch*out"))
             }
             QStage::BatchNorm(bn) => {
-                let (_, c, _, _) = expect_rank4(input.shape(), "batch_norm")?;
-                if c != bn.channels() {
-                    return Err(ShapeError::new(format!(
-                        "batch_norm expected {} channels, got {c}",
-                        bn.channels()
-                    )));
-                }
+                check_batch_norm_input(input.shape(), bn)?;
                 Ok(bn.forward(input, Mode::Eval))
             }
-            QStage::ReluMask => Ok(relu_mask(input)),
-            QStage::ReluMax => Ok(input.map(|v| v.max(0.0))),
+            QStage::Relu(relu) => Ok(relu_stage(input, *relu)),
             QStage::MaxPool(pool) => {
-                let (_, _, h, w) = expect_rank4(input.shape(), "max_pool")?;
-                let k = pool.window();
-                if h % k != 0 || w % k != 0 {
-                    return Err(ShapeError::new(format!(
-                        "max_pool window {k} must divide spatial dims ({h}x{w})"
-                    )));
-                }
+                check_pool_input(input.shape(), pool)?;
                 Ok(pool.forward(input, Mode::Eval))
             }
             QStage::GlobalAvgPool => {
                 expect_rank4(input.shape(), "global_avg_pool")?;
                 Ok(crate::GlobalAvgPool::new().forward(input, Mode::Eval))
             }
-            QStage::Flatten => {
-                if input.rank() < 1 {
-                    return Err(ShapeError::new("flatten expects at least rank-1 input"));
-                }
-                Ok(input.flatten_batch())
-            }
+            QStage::Flatten => flatten(input),
             QStage::Residual { main, shortcut } => {
-                let mut x = input.clone();
-                for stage in main {
-                    x = stage.run(&x, config)?;
-                }
+                let run = |stage: &QStage, x: &Tensor| stage.run(x, config);
+                let x = run_stages(main, input, run)?;
                 let skip = match shortcut {
-                    Some(stages) => {
-                        let mut s = input.clone();
-                        for stage in stages {
-                            s = stage.run(&s, config)?;
-                        }
-                        s
-                    }
-                    None => input.clone(),
+                    Some(stages) => run_stages(stages, input, run)?,
+                    None => Cow::Borrowed(input),
                 };
-                if x.shape() != skip.shape() {
-                    return Err(ShapeError::new(format!(
-                        "residual branches disagree: main {:?} vs shortcut {:?}",
-                        x.shape(),
-                        skip.shape()
-                    )));
-                }
-                Ok(x.add(&skip).map(|v| v.max(0.0)))
+                residual_join(x, skip, Relu::Max)
             }
             QStage::Opaque(layer) => Ok(layer.forward(input, Mode::Eval)),
         }
@@ -723,34 +777,29 @@ impl QStage {
 /// pass (the linear stages keep the dequantize in the qgemm epilogue
 /// instead — nothing follows the classifier head).
 fn build_qstages(ops: &[GraphOp], config: FusionConfig, in_residual: bool) -> Vec<QStage> {
+    let relu_kind = if in_residual { Relu::Max } else { Relu::Mask };
     let mut stages = Vec::with_capacity(ops.len());
     let mut i = 0;
     while i < ops.len() {
         match &ops[i] {
             GraphOp::Conv(conv) => {
-                let fused_bn = if config.fuse_epilogue {
-                    match ops.get(i + 1) {
-                        Some(GraphOp::BatchNorm(bn)) if bn.channels() == conv.out_channels() => {
-                            Some(bn.clone())
-                        }
-                        _ => None,
-                    }
-                } else {
-                    None
-                };
-                let after_bn = i + 1 + usize::from(fused_bn.is_some());
-                let fused_relu =
-                    config.fuse_epilogue && matches!(ops.get(after_bn), Some(GraphOp::Relu));
+                let bn = merged_bn(ops, i, conv, config);
+                let after_bn = i + 1 + usize::from(bn.is_some());
+                let relu = config.fuse_epilogue && matches!(ops.get(after_bn), Some(GraphOp::Relu));
                 stages.push(QStage::Conv {
                     conv: QConv2d::from_conv(conv),
-                    bn: fused_bn,
-                    relu: match (fused_relu, in_residual) {
-                        (false, _) => QRelu::None,
-                        (true, true) => QRelu::Max,
-                        (true, false) => QRelu::Mask,
+                    packed: QConvWeights::pack(
+                        &QTensor::quantize(&conv.weight().value),
+                        conv.in_channels(),
+                        conv.geometry(),
+                    ),
+                    epilogue: ConvEpilogue {
+                        bias: conv.bias().value.data().to_vec(),
+                        bn: bn.as_ref().map(MergedBn::new),
+                        relu: if relu { relu_kind } else { Relu::None },
                     },
                 });
-                i = after_bn + usize::from(fused_relu);
+                i = after_bn + usize::from(relu);
                 continue;
             }
             GraphOp::Linear(linear) => {
@@ -765,11 +814,7 @@ fn build_qstages(ops: &[GraphOp], config: FusionConfig, in_residual: bool) -> Ve
                 continue;
             }
             GraphOp::BatchNorm(bn) => stages.push(QStage::BatchNorm(bn.clone())),
-            GraphOp::Relu => stages.push(if in_residual {
-                QStage::ReluMax
-            } else {
-                QStage::ReluMask
-            }),
+            GraphOp::Relu => stages.push(QStage::Relu(relu_kind)),
             GraphOp::MaxPool(k) => stages.push(QStage::MaxPool(MaxPool2d::new(*k))),
             GraphOp::GlobalAvgPool => stages.push(QStage::GlobalAvgPool),
             GraphOp::Flatten => stages.push(QStage::Flatten),
@@ -786,8 +831,9 @@ fn build_qstages(ops: &[GraphOp], config: FusionConfig, in_residual: bool) -> Ve
 }
 
 /// A fused int8 execution plan: the quantized counterpart of
-/// [`CompiledPlan`], with weights quantized once at compile time (after any
-/// conv+bn folding) and the dequantize kept in the GEMM epilogue.
+/// [`CompiledPlan`], with weights quantized and packed once at compile time
+/// (after any conv+bn folding) and the dequantize kept in the kernels'
+/// output pass.
 #[derive(Debug, Clone)]
 pub struct QCompiledPlan {
     stages: Vec<QStage>,
@@ -813,11 +859,8 @@ impl QCompiledPlan {
     /// Returns a [`ShapeError`] — never panics — when the input shape does
     /// not fit the pipeline's typed stages.
     pub fn run(&self, input: &Tensor) -> Result<Tensor, ShapeError> {
-        let mut x = input.clone();
-        for stage in &self.stages {
-            x = stage.run(&x, self.config)?;
-        }
-        Ok(x)
+        let out = run_stages(&self.stages, input, |stage, x| stage.run(x, self.config))?;
+        Ok(out.into_owned())
     }
 
     /// The fusion configuration the plan was compiled with.

@@ -89,19 +89,30 @@ impl FixedNoise {
         self.pattern = Tensor::from_fn(self.pattern.shape(), |_| rng.normal_with(0.0, sigma));
     }
 
-    fn add_pattern(&self, input: &Tensor) -> Tensor {
+    /// Adds the pattern to every sample of `x` in place: the inference
+    /// forward without a copy of the batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is empty or its length is not a multiple of the
+    /// pattern's.
+    pub fn add_to(&self, x: &mut Tensor) {
         let per_sample = self.pattern.len();
         assert!(
-            !input.is_empty() && input.len().is_multiple_of(per_sample),
+            !x.is_empty() && x.len().is_multiple_of(per_sample),
             "input length {} is not a multiple of the noise pattern length {per_sample}",
-            input.len()
+            x.len()
         );
-        let mut out = input.clone();
-        for chunk in out.data_mut().chunks_mut(per_sample) {
+        for chunk in x.data_mut().chunks_mut(per_sample) {
             for (v, n) in chunk.iter_mut().zip(self.pattern.data()) {
                 *v += n;
             }
         }
+    }
+
+    fn add_pattern(&self, input: &Tensor) -> Tensor {
+        let mut out = input.clone();
+        self.add_to(&mut out);
         out
     }
 }

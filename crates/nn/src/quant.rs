@@ -194,22 +194,6 @@ impl QConv2d {
         ]
     }
 
-    /// Transposed quantized weight (`[fan_in, out]`), for the fused plan
-    /// stages.
-    pub(crate) fn weight_t(&self) -> &[i8] {
-        &self.weight_t
-    }
-
-    /// Per-tensor weight scale.
-    pub(crate) fn weight_scale(&self) -> f32 {
-        self.weight_scale
-    }
-
-    /// Full-precision bias.
-    pub(crate) fn bias(&self) -> &Tensor {
-        &self.bias
-    }
-
     /// Number of input channels.
     pub(crate) fn in_channels(&self) -> usize {
         self.in_channels

@@ -172,17 +172,7 @@ fn lower_runs<T: Copy + Default + Send + Sync, const K: usize>(
         Cow::Borrowed(data)
     } else {
         let mut padded = vec![T::default(); b * c * ph * pw];
-        for (dst, src) in padded
-            .chunks_exact_mut(ph * pw)
-            .zip(data.chunks_exact(h * w))
-        {
-            for (dst_row, src_row) in dst[pad * pw..]
-                .chunks_exact_mut(pw)
-                .zip(src.chunks_exact(w))
-            {
-                dst_row[pad..pad + w].copy_from_slice(src_row);
-            }
-        }
+        pad_planes(data, h, w, pad, &mut padded);
         Cow::Owned(padded)
     };
 
@@ -212,6 +202,23 @@ fn lower_runs<T: Copy + Default + Send + Sync, const K: usize>(
     let parallel = b > 1 && out.len() >= PAR_ELEMENT_THRESHOLD;
     for_each_chunk_mut(&mut out, block_len, parallel, lower_item);
     out
+}
+
+/// Copies the `h×w` planes of `src` into the interiors of the `(h+2·pad) ×
+/// (w+2·pad)` planes of `dst`, whose borders must already be zero.
+pub(crate) fn pad_planes<T: Copy>(src: &[T], h: usize, w: usize, pad: usize, dst: &mut [T]) {
+    let pw = w + 2 * pad;
+    for (dst, src) in dst
+        .chunks_exact_mut((h + 2 * pad) * pw)
+        .zip(src.chunks_exact(h * w))
+    {
+        for (dst_row, src_row) in dst[pad * pw..]
+            .chunks_exact_mut(pw)
+            .zip(src.chunks_exact(w))
+        {
+            dst_row[pad..pad + w].copy_from_slice(src_row);
+        }
+    }
 }
 
 /// Folds a column matrix back into an NCHW tensor, accumulating overlapping

@@ -62,7 +62,7 @@ pub const MC: usize = 128;
 /// One register-tile update: accumulate `tile_rows x cols` over `kc` packed
 /// steps into `c` (leading dimension `ldc`). The A panel holds `kc` slivers
 /// of `mr` row values; the B panel holds `kc` slivers of `nr` column values.
-type MicroKernelFn = fn(
+pub(crate) type MicroKernelFn = fn(
     apanel: &[f32],
     bpanel: &[f32],
     kc: usize,
@@ -73,16 +73,16 @@ type MicroKernelFn = fn(
 );
 
 /// The micro-kernel picked for this host, with its register-tile geometry.
-#[derive(Clone, Copy)]
-struct KernelConfig {
-    mr: usize,
-    nr: usize,
-    micro: MicroKernelFn,
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KernelConfig {
+    pub(crate) mr: usize,
+    pub(crate) nr: usize,
+    pub(crate) micro: MicroKernelFn,
 }
 
 /// Picks the widest micro-kernel the host supports. Feature detection is
 /// cached by the standard library, so this is cheap to call per GEMM.
-fn kernel_config() -> KernelConfig {
+pub(crate) fn kernel_config() -> KernelConfig {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
@@ -91,6 +91,31 @@ fn kernel_config() -> KernelConfig {
                 mr: avx2::MR,
                 nr: avx2::NR,
                 micro: avx2::microkernel,
+            };
+        }
+    }
+    KernelConfig {
+        mr: MR,
+        nr: NR,
+        micro: portable_microkernel,
+    }
+}
+
+/// A tile kernel with [`gemm_small`]'s arithmetic: each step a multiply
+/// then an add, never a fused multiply-add, from a `+0.0` accumulator. Run
+/// over all of `k` in one call it reproduces the small path bit for bit
+/// (the accumulator can never be `−0.0`, so adding it into a zeroed output
+/// is exact). The direct convolution uses it for products below
+/// [`SMALL_THRESHOLD`].
+pub(crate) fn small_kernel_config() -> KernelConfig {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
+            return KernelConfig {
+                mr: avx2::MR,
+                nr: avx2::NR,
+                micro: avx2::microkernel_mul_add,
             };
         }
     }
@@ -648,7 +673,8 @@ fn gemm_band(
 /// Accumulates an [`MR`]`x`[`NR`] register tile over `kc` shared-dimension
 /// steps and adds the `tile_rows x cols` valid region into `c` (leading dim
 /// `ldc`). Pure safe Rust; the fixed-size slivers below auto-vectorise on
-/// any target.
+/// any target. Each step is a multiply then an add (Rust never contracts
+/// them into a fused multiply-add).
 fn portable_microkernel(
     apanel: &[f32],
     bpanel: &[f32],
@@ -683,8 +709,8 @@ fn portable_microkernel(
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
+        _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps,
+        _mm256_setzero_ps, _mm256_storeu_ps,
     };
 
     /// Register-tile rows of the AVX2 kernel.
@@ -707,11 +733,40 @@ mod avx2 {
         cols: usize,
     ) {
         debug_assert!(apanel.len() >= kc * MR && bpanel.len() >= kc * NR);
-        unsafe { microkernel_impl(apanel, bpanel, kc, c, ldc, tile_rows, cols) }
+        // SAFETY: the host has AVX2 and FMA (see above). Callers pass panels
+        // of at least `kc` slivers and a `c` holding `tile_rows` rows of
+        // `cols` values at stride `ldc`, full-width rows when the tile is
+        // full, which bounds every pointer access.
+        unsafe { microkernel_impl::<true>(apanel, bpanel, kc, c, ldc, tile_rows, cols) }
     }
 
+    /// [`microkernel`] with each step a separate multiply and add instead
+    /// of a fused multiply-add: the small-product arithmetic, on the same
+    /// 6×16 tile. Same safety argument (reached only through
+    /// [`super::small_kernel_config`]).
+    pub(super) fn microkernel_mul_add(
+        apanel: &[f32],
+        bpanel: &[f32],
+        kc: usize,
+        c: &mut [f32],
+        ldc: usize,
+        tile_rows: usize,
+        cols: usize,
+    ) {
+        debug_assert!(apanel.len() >= kc * MR && bpanel.len() >= kc * NR);
+        // SAFETY: as in `microkernel`.
+        unsafe { microkernel_impl::<false>(apanel, bpanel, kc, c, ldc, tile_rows, cols) }
+    }
+
+    /// The 6×16 tile loop, with fused multiply-adds when `FMA` is set.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2 and FMA. `apanel` and `bpanel` must hold
+    /// `kc` slivers, and `c` must hold `tile_rows` rows of `cols` values at
+    /// stride `ldc` (whole 16-value rows when the tile is full).
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn microkernel_impl(
+    unsafe fn microkernel_impl<const FMA: bool>(
         apanel: &[f32],
         bpanel: &[f32],
         kc: usize,
@@ -728,8 +783,14 @@ mod avx2 {
             let b1 = _mm256_loadu_ps(bpp.add(p * NR + 8));
             for (r, row_acc) in acc.iter_mut().enumerate() {
                 let ar = _mm256_set1_ps(*ap.add(p * MR + r));
-                row_acc[0] = _mm256_fmadd_ps(ar, b0, row_acc[0]);
-                row_acc[1] = _mm256_fmadd_ps(ar, b1, row_acc[1]);
+                // `acc + a·b`, fused into one rounding only when `FMA` is set.
+                if FMA {
+                    row_acc[0] = _mm256_fmadd_ps(ar, b0, row_acc[0]);
+                    row_acc[1] = _mm256_fmadd_ps(ar, b1, row_acc[1]);
+                } else {
+                    row_acc[0] = _mm256_add_ps(row_acc[0], _mm256_mul_ps(ar, b0));
+                    row_acc[1] = _mm256_add_ps(row_acc[1], _mm256_mul_ps(ar, b1));
+                }
             }
         }
         if tile_rows == MR && cols == NR {

@@ -10,7 +10,9 @@
 //! buffers so the gradient checks in `ensembler-nn` validate against an
 //! easily auditable reference. The exception is the hot path: the rank-2
 //! matrix products are backed by the blocked, parallel kernel in [`gemm`],
-//! and `im2col`/`col2im` parallelise over the batch dimension (see
+//! `im2col`/`col2im` parallelise over the batch dimension, and inference
+//! convolutions run on a direct NCHW kernel ([`conv2d_nchw`],
+//! [`qconv2d_nchw`]) that never builds the column matrix (see
 //! `docs/PERFORMANCE.md` at the repository root for the design and measured
 //! numbers).
 //!
@@ -28,6 +30,7 @@
 //! ```
 
 mod conv;
+mod direct_conv;
 mod error;
 pub mod gemm;
 mod init;
@@ -39,6 +42,7 @@ mod shape;
 mod tensor;
 
 pub use conv::{col2im, im2col, im2col_i8, Conv2dGeometry};
+pub use direct_conv::{conv2d_nchw, qconv2d_nchw, ConvWeights, QConvWeights};
 pub use error::ShapeError;
 pub use init::{Init, Rng};
 pub use json::{JsonError, JsonValue};

@@ -104,7 +104,7 @@ pub fn quantization_scale(absmax: f32) -> f32 {
 /// unlike a float `max` fold the integer reduction auto-vectorises on the
 /// baseline target. Non-finite inputs are unsupported (as documented on
 /// [`QTensor::quantize`]).
-fn absmax(values: &[f32]) -> f32 {
+pub(crate) fn absmax(values: &[f32]) -> f32 {
     let bits = values
         .iter()
         .fold(0u32, |m, v| m.max(v.to_bits() & 0x7FFF_FFFF));
@@ -115,7 +115,7 @@ fn absmax(values: &[f32]) -> f32 {
 /// from zero, saturating at ±127). Dispatches to an AVX2-compiled copy of
 /// the loop where available: the baseline x86-64 target lowers `f32::round`
 /// to a libm call per element, while under AVX2 the whole loop vectorises.
-fn quantize_into(values: &[f32], scale: f32, out: &mut [i8]) {
+pub(crate) fn quantize_into(values: &[f32], scale: f32, out: &mut [i8]) {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -441,7 +441,7 @@ impl QTensorBatch {
 /// One register-tile update over packed int8 panels. The A panel stores each
 /// row's `k`-pairs as an `i32` word holding two sign-extended `i16` lanes;
 /// the B panel stores, per `k`-pair, `nr` column pairs as interleaved `i16`.
-type QMicroKernelFn = fn(
+pub(crate) type QMicroKernelFn = fn(
     apanel: &[i32],
     bpanel: &[i16],
     kc2: usize,
@@ -451,15 +451,15 @@ type QMicroKernelFn = fn(
     cols: usize,
 );
 
-#[derive(Clone, Copy)]
-struct QKernelConfig {
-    mr: usize,
-    nr: usize,
-    micro: QMicroKernelFn,
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QKernelConfig {
+    pub(crate) mr: usize,
+    pub(crate) nr: usize,
+    pub(crate) micro: QMicroKernelFn,
 }
 
 /// Picks the widest int8 micro-kernel the host supports.
-fn qkernel_config() -> QKernelConfig {
+pub(crate) fn qkernel_config() -> QKernelConfig {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
